@@ -140,6 +140,7 @@ impl<'a> VertexCtx<'a> {
 
     /// Send the same payload over every out-edge.
     pub fn send_all(&mut self, data: u64) {
+        self.sends.reserve(self.edges.len());
         for k in 0..self.edges.len() {
             let dest = self.edges[k];
             self.sends.push(Update::new(dest, self.v, data));

@@ -18,7 +18,7 @@ use mlvc_ssd::{
 
 use crate::{
     Engine, EngineConfig, InitActive, Reconverge, RunReport, SuperstepStats, VertexCtx,
-    VertexProgram,
+    VertexOutputs, VertexProgram,
 };
 
 /// Trace records kept per run when observability is on — far above any
@@ -845,63 +845,74 @@ impl MultiLogEngine {
                                 .collect()
                         };
 
-                        // 4. Parallel vertex processing.
+                        // 4. Parallel vertex processing. On the pipelined
+                        //    path each worker also routes its vertices'
+                        //    sends into the chunk's per-interval buffers
+                        //    right after `process` returns, while they are
+                        //    still in cache — an O(1) table lookup per
+                        //    send, so routing counts under `process_ns`.
                         let t_proc = Instant::now();
                         let frozen: &[u64] = states;
                         let seed = cfg.seed;
-                        let outputs: Vec<_> = mlvc_par::par_map(&items, |item| {
-                            states_audit.audit_read();
-                            let mut ctx = VertexCtx::new(
-                                item.v,
-                                superstep,
-                                n,
-                                frozen[item.v as usize],
-                                item.msgs,
-                                item.edges,
-                                item.weights,
-                                seed,
-                            );
-                            prog.process(&mut ctx);
-                            ctx.into_outputs()
-                        });
+                        let route = cfg.pipeline.then_some(&multilog);
+                        let (outputs, routed): (Vec<Vec<VertexOutputs>>, Vec<Vec<Vec<Update>>>) =
+                            mlvc_par::par_chunk_map(&items, |chunk| {
+                                let mut bufs: Vec<Vec<Update>> =
+                                    vec![Vec::new(); if route.is_some() { num_iv } else { 0 }];
+                                let outs = chunk
+                                    .iter()
+                                    .map(|item| {
+                                        states_audit.audit_read();
+                                        let mut ctx = VertexCtx::new(
+                                            item.v,
+                                            superstep,
+                                            n,
+                                            frozen[item.v as usize],
+                                            item.msgs,
+                                            item.edges,
+                                            item.weights,
+                                            seed,
+                                        );
+                                        prog.process(&mut ctx);
+                                        let mut out = ctx.into_outputs();
+                                        if let Some(ml) = route {
+                                            for u in std::mem::take(&mut out.sends) {
+                                                bufs[ml.interval_of(u.dest) as usize].push(u);
+                                            }
+                                        }
+                                        out
+                                    })
+                                    .collect();
+                                (outs, bufs)
+                            })
+                            .into_iter()
+                            .unzip();
                         st.process_ns += t_proc.elapsed().as_nanos() as u64;
 
-                        // 5a. Update scatter. Parallel workers partition
-                        //     each output chunk's sends by destination
-                        //     interval; draining interval-major, chunk
-                        //     order within an interval, appends every
-                        //     interval's messages in item-index order —
-                        //     exactly what the serial per-update loop
-                        //     produced, so log pages stay bit-identical
-                        //     for any thread count (DESIGN.md §12).
+                        // 5a. Update scatter (owner thread). Draining the
+                        //     routed buffers interval-major, chunk order
+                        //     within an interval, appends every interval's
+                        //     messages in item-index order — exactly what
+                        //     the serial per-update loop produces, so log
+                        //     pages stay bit-identical for any thread
+                        //     count (DESIGN.md §12).
                         let t_scatter = Instant::now();
                         if cfg.pipeline {
-                            let scattered: Vec<Vec<Vec<Update>>> =
-                                mlvc_par::par_chunk_map(&outputs, |chunk| {
-                                    let mut bufs: Vec<Vec<Update>> =
-                                        vec![Vec::new(); num_iv];
-                                    for out in chunk {
-                                        for &u in &out.sends {
-                                            bufs[intervals.interval_of(u.dest) as usize]
-                                                .push(u);
-                                        }
-                                    }
-                                    bufs
-                                });
                             for j in 0..num_iv {
-                                for bufs in &scattered {
+                                for bufs in &routed {
                                     multilog.send_batch(j as IntervalId, &bufs[j])?;
                                 }
                             }
                         } else {
                             // Pre-pipeline serial reference path (the
                             // `bench_engine` baseline).
-                            for out in &outputs {
+                            for out in outputs.iter().flatten() {
                                 for &u in &out.sends {
                                     multilog.send(u)?;
                                 }
                             }
                         }
+                        drop(routed);
                         st.scatter_ns += t_scatter.elapsed().as_nanos() as u64;
 
                         // 5b. Apply outputs: state, activity, mutations,
@@ -918,7 +929,7 @@ impl MultiLogEngine {
                             graph.colidx_file(i)
                         };
                         states_audit.audit_write();
-                        for (item, out) in items.iter().zip(outputs) {
+                        for (item, out) in items.iter().zip(outputs.into_iter().flatten()) {
                             states[item.v as usize] = out.state;
                             active_bits.set(item.v as usize);
                             st.active_vertices += 1;

@@ -48,9 +48,13 @@ pub struct SuperstepStats {
     pub wall_ns: u64,
     /// Wall-clock time of the pipeline stages (reference only, like
     /// `wall_ns`): log load + decode, in-memory sort, parallel vertex
-    /// processing, and update scatter into the multi-log. With batch
-    /// prefetch enabled, load + sort of batch *k+1* overlap the process +
-    /// scatter of batch *k*, so these stage times can sum past `wall_ns`.
+    /// processing, and update scatter into the multi-log. Routing each
+    /// send to its destination interval happens in the process workers,
+    /// so it counts under `process_ns`; `scatter_ns` covers the owner-side
+    /// append into the multi-log and the eviction flushes it triggers.
+    /// With batch prefetch enabled, load + sort of batch *k+1* overlap the
+    /// process + scatter of batch *k*, so these stage times can sum past
+    /// `wall_ns`.
     pub load_ns: u64,
     pub sort_ns: u64,
     pub process_ns: u64,

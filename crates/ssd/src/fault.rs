@@ -45,6 +45,9 @@ pub enum DeviceError {
     PayloadTooLarge { len: usize, page_size: usize },
     /// Host filesystem failure in the file-backed store.
     Io(String),
+    /// A page of `file` read back intact but does not hold what its
+    /// format allows (e.g. a log record addressed outside its interval).
+    Corrupt { file: FileId, detail: String },
 }
 
 impl std::fmt::Display for DeviceError {
@@ -63,6 +66,7 @@ impl std::fmt::Display for DeviceError {
                 write!(f, "payload of {len} bytes exceeds the {page_size}-byte page")
             }
             DeviceError::Io(msg) => write!(f, "host I/O failure: {msg}"),
+            DeviceError::Corrupt { file, detail } => write!(f, "file {file} is corrupt: {detail}"),
         }
     }
 }
