@@ -361,9 +361,9 @@ impl PageCache {
 
     /// Write-allocate into the pinned tier (DESIGN.md §18): copy a page
     /// whose bytes the writer is holding *right now* into the pinned map,
-    /// with no device read at all. The payload is zero-padded to the page
-    /// size so a later hit returns exactly what an uncached device read of
-    /// the page would. Returns `false` (and pins nothing) if a pinned copy
+    /// with no device read at all. The owned payload is zero-padded to the
+    /// page size in place, so a later hit returns exactly what an uncached
+    /// device read of the page would. Returns `false` (and pins nothing) if a pinned copy
     /// already exists. Called by the device's append-retention hook after
     /// the write landed and its invalidation ran, so the copy can never go
     /// stale out of order; a subsequent write or truncate drops it like
@@ -372,10 +372,11 @@ impl PageCache {
         &self,
         file: FileId,
         page: u64,
-        payload: &[u8],
+        mut data: Vec<u8>,
         page_size: usize,
         tenant: TenantId,
     ) -> bool {
+        data.resize(page_size, 0);
         let mut guard = locked(&self.state);
         let inner = &mut *guard;
         let key = (file, page);
@@ -386,9 +387,6 @@ impl PageCache {
             release_frame(inner, fi);
         }
         inner.ghost_set.remove(&key);
-        let mut data = vec![0u8; page_size];
-        let keep = payload.len().min(page_size);
-        data[..keep].copy_from_slice(&payload[..keep]);
         inner.pinned_bytes += to_u64(data.len());
         inner.pinned.insert(key, PinnedPage { data, inserter: tenant });
         true
