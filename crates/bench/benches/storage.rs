@@ -29,15 +29,23 @@ fn main() {
     let (_ssd, sg) = stored();
     let iv0 = sg.intervals().range(0);
 
+    // Each case reports the adjacency entries it decodes as its element
+    // count; the loader returns its reused flat buffer by reference, so a
+    // sample yields just the count.
+    let edges_of = |active: &[u32]| {
+        let mut loader = GraphLoader::new();
+        loader.load_active(&sg, 0, active, false, None).map(|a| a.num_edges() as u64).ok()
+    };
+
     // 1% of interval 0's vertices, spread out.
     let sparse: Vec<u32> = iv0.clone().step_by(100).collect();
-    micro::case("loader/selective_1pct", 30, None, GraphLoader::new, |mut loader| {
-        loader.load_active(&sg, 0, &sparse, false, None)
+    micro::case("loader/selective_1pct", 30, edges_of(&sparse), GraphLoader::new, |mut loader| {
+        loader.load_active(&sg, 0, &sparse, false, None).map(|a| a.num_edges())
     });
 
     let all: Vec<u32> = iv0.collect();
-    micro::case("loader/full_interval", 30, None, GraphLoader::new, |mut loader| {
-        loader.load_active(&sg, 0, &all, false, None)
+    micro::case("loader/full_interval", 30, edges_of(&all), GraphLoader::new, |mut loader| {
+        loader.load_active(&sg, 0, &all, false, None).map(|a| a.num_edges())
     });
 
     let ssd = Ssd::new(SsdConfig::default());

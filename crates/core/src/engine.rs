@@ -758,6 +758,7 @@ impl MultiLogEngine {
                         }
                         st.edge_log_hits += elog_vs.len() as u64;
 
+                        let t_graph = Instant::now();
                         let loaded = loader.load_active(
                             graph,
                             i,
@@ -766,9 +767,12 @@ impl MultiLogEngine {
                             Some(&structural),
                         )?;
                         let mut elog_adj = edgelog.fetch(&elog_vs)?;
-                        for (v, edges) in &mut elog_adj {
-                            structural.patch_adjacency(*v, edges);
+                        if !structural.pending_for(i).is_empty() {
+                            for (v, edges) in &mut elog_adj {
+                                structural.patch_adjacency(*v, edges);
+                            }
                         }
+                        st.graph_ns += t_graph.elapsed().as_nanos() as u64;
 
                         // 3. Assemble work items in vertex order — borrows
                         //    only, no adjacency clones or message copies.
@@ -799,12 +803,13 @@ impl MultiLogEngine {
                         let mut ei = 0usize;
                         for (k, (v, r)) in actives.iter().enumerate() {
                             let (edges, weights, csr_pages) =
-                                if li < loaded.len() && loaded[li].v == *v {
-                                    let lv = &loaded[li];
+                                if li < csr_vs.len() && csr_vs[li] == *v {
                                     li += 1;
-                                    let span = (lv.page_lo <= lv.page_hi)
-                                        .then_some((lv.page_lo, lv.page_hi));
-                                    (lv.edges.as_slice(), lv.weights.as_deref(), span)
+                                    (
+                                        loaded.edges(li - 1),
+                                        loaded.weights(li - 1),
+                                        loaded.page_span(li - 1),
+                                    )
                                 } else {
                                     debug_assert_eq!(elog_adj[ei].0, *v);
                                     ei += 1;

@@ -59,6 +59,14 @@ pub struct SuperstepStats {
     pub sort_ns: u64,
     pub process_ns: u64,
     pub scatter_ns: u64,
+    /// Wall-clock time of the adjacency fetch (reference only, like
+    /// `load_ns`): the owner thread's CSR load and decode through the
+    /// graph loader plus the edge-log fetch, with pending structural
+    /// updates patched in. Unlike `load_ns` (the *log* load, which
+    /// prefetch can hide) it always runs on the owner thread between
+    /// sort and process. It is not one of the [`RunReport::stage_totals_ns`]
+    /// stages and never enters the trace.
+    pub graph_ns: u64,
     /// True if a crash-consistency checkpoint was written at this
     /// superstep's close-out (its I/O is charged to `io`).
     pub checkpointed: bool,
@@ -164,6 +172,12 @@ impl RunReport {
             t[3] += s.scatter_ns;
         }
         t
+    }
+
+    /// Wall-clock total of the adjacency fetch (`SuperstepStats::graph_ns`)
+    /// in nanoseconds, kept apart from the four `stage_totals_ns` stages.
+    pub fn graph_total_ns(&self) -> u64 {
+        self.supersteps.iter().map(|s| s.graph_ns).sum()
     }
 
     /// Storage fraction of the whole run (Fig. 5c).

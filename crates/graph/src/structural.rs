@@ -65,17 +65,7 @@ impl StructuralUpdateBuffer {
     /// in insertion order (the loader's "most current graph data" view).
     pub fn patch_adjacency(&self, v: VertexId, edges: &mut Vec<VertexId>) {
         let i = self.intervals.interval_of(v);
-        for u in &self.pending[idx(i)] {
-            match *u {
-                StructuralUpdate::AddEdge { src, dst } if src == v => edges.push(dst),
-                StructuralUpdate::RemoveEdge { src, dst } if src == v => {
-                    if let Some(pos) = edges.iter().position(|&e| e == dst) {
-                        edges.remove(pos);
-                    }
-                }
-                _ => {}
-            }
-        }
+        patch_tail(&self.pending[idx(i)], v, edges, 0, None);
     }
 
     /// Merge every interval whose pending count crossed the threshold into
@@ -126,6 +116,39 @@ impl StructuralUpdateBuffer {
             }
         }
         graph.rewrite_interval(i, &adj)
+    }
+}
+
+/// Apply the updates of `pending` (one interval's list) whose source is
+/// `v` to the adjacency tail `edges[from..]`, in insertion order: an add
+/// appends, a remove drops the first matching entry. `weights`, when
+/// given, stays parallel to `edges`: an added edge gets weight 0 (what a
+/// merge writes) and a removed edge takes its weight with it.
+pub(crate) fn patch_tail(
+    pending: &[StructuralUpdate],
+    v: VertexId,
+    edges: &mut Vec<VertexId>,
+    from: usize,
+    mut weights: Option<&mut Vec<f32>>,
+) {
+    for u in pending {
+        match *u {
+            StructuralUpdate::AddEdge { src, dst } if src == v => {
+                edges.push(dst);
+                if let Some(w) = weights.as_mut() {
+                    w.push(0.0);
+                }
+            }
+            StructuralUpdate::RemoveEdge { src, dst } if src == v => {
+                if let Some(pos) = edges[from..].iter().position(|&e| e == dst) {
+                    edges.remove(from + pos);
+                    if let Some(w) = weights.as_mut() {
+                        w.remove(from + pos);
+                    }
+                }
+            }
+            _ => {}
+        }
     }
 }
 

@@ -25,6 +25,9 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MLVCCSR\0";
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
+/// Most entries a reader reserves per array before the records arrive.
+const RESERVE_CAP: usize = 1 << 16;
+
 /// Serialize a CSR graph.
 pub fn write_csr_binary<W: Write>(writer: W, graph: &Csr) -> Result<(), IoError> {
     let mut w = BufWriter::new(writer);
@@ -82,18 +85,22 @@ pub fn read_csr_binary<R: Read>(reader: R) -> Result<Csr, IoError> {
     read_exact_or(&mut r, &mut b8, "edge count")?;
     let m = u64::from_le_bytes(b8) as usize;
 
-    let mut row_ptr = Vec::with_capacity(n + 1);
+    // The counts are unchecked until the records arrive, so reserve at
+    // most `RESERVE_CAP` entries up front and let the vectors grow: a
+    // header that lies about its size ends in the truncation error below
+    // instead of one huge allocation.
+    let mut row_ptr = Vec::with_capacity(n.saturating_add(1).min(RESERVE_CAP));
     for _ in 0..=n {
         read_exact_or(&mut r, &mut b8, "row_ptr")?;
         row_ptr.push(u64::from_le_bytes(b8));
     }
-    let mut col_idx = Vec::with_capacity(m);
+    let mut col_idx = Vec::with_capacity(m.min(RESERVE_CAP));
     for _ in 0..m {
         read_exact_or(&mut r, &mut b4, "col_idx")?;
         col_idx.push(u32::from_le_bytes(b4));
     }
     let weights = if weighted {
-        let mut ws = Vec::with_capacity(m);
+        let mut ws = Vec::with_capacity(m.min(RESERVE_CAP));
         for _ in 0..m {
             read_exact_or(&mut r, &mut b4, "weights")?;
             ws.push(f32::from_bits(u32::from_le_bytes(b4)));
@@ -180,6 +187,24 @@ mod tests {
         let col_off = 8 + 4 + 4 + 8 + 8 + (4 + 1) * 8;
         buf[col_off..col_off + 4].copy_from_slice(&999u32.to_le_bytes());
         assert!(matches!(read_csr_binary(buf.as_slice()), Err(IoError::Format(_))));
+    }
+
+    #[test]
+    fn lying_header_counts_are_a_truncation_error() {
+        let g = mlvc_gen::path(4);
+        let mut buf = Vec::new();
+        write_csr_binary(&mut buf, &g).unwrap();
+        let (nv, ne) = (16, 24);
+        for (off, what) in [(nv, "row_ptr"), (ne, "col_idx")] {
+            for claim in [1u64 << 40, u64::MAX] {
+                let mut bad = buf.clone();
+                bad[off..off + 8].copy_from_slice(&claim.to_le_bytes());
+                match read_csr_binary(bad.as_slice()) {
+                    Err(IoError::Format(msg)) => assert!(msg.contains(what), "{msg}"),
+                    other => panic!("claim {claim} at {off}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! (`mlvc_gen::rng::SeededRng`), so failures reproduce exactly from the
 //! seed embedded in the test.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, Coloring, Mis, MisState};
 use multilogvc::core::{Engine, EngineConfig, InitActive, MultiLogEngine, VertexCtx, VertexProgram};
 use multilogvc::graph::{
-    Csr, EdgeListBuilder, GraphLoader, StoredGraph, StructuralUpdate, StructuralUpdateBuffer,
-    VertexId, VertexIntervals,
+    Csr, EdgeListBuilder, GraphLoader, PageUsage, StoredGraph, StructuralUpdate,
+    StructuralUpdateBuffer, VertexId, VertexIntervals,
 };
 use multilogvc::ssd::{Ssd, SsdConfig};
 
@@ -60,18 +61,105 @@ fn stored_graph_roundtrip() {
     }
 }
 
+/// A random weighted graph over the same edge list (duplicates and self
+/// loops kept, so extents carry repeated entries).
+fn build_weighted(n: usize, edges: &[(u32, u32)]) -> Csr {
+    let mut b = EdgeListBuilder::new(n);
+    for &(s, d) in edges {
+        b.push_weighted(s, d, (s * 31 + d) as f32 * 0.5);
+    }
+    b.build()
+}
+
+/// Useful bytes per page, keyed by page, of the row-pointer and the
+/// column-index requests the loader should make for the sorted `active`
+/// list of interval `i` — recomputed from the CSR offsets. The counts are
+/// uncapped: a row-pointer entry shared by adjacent actives counts twice.
+fn expected_loader_pages(
+    csr: &Csr,
+    sg: &StoredGraph,
+    i: u32,
+    active: &[VertexId],
+    page: usize,
+) -> (BTreeMap<u64, usize>, BTreeMap<u64, usize>) {
+    let start = sg.intervals().start(i);
+    let base = csr.row_ptr()[start as usize];
+    let (mut rp, mut ci) = (BTreeMap::new(), BTreeMap::new());
+    for &v in active {
+        let j = (v - start) as usize;
+        for e in [j, j + 1] {
+            *rp.entry((e * 8 / page) as u64).or_insert(0) += 8;
+        }
+        let lo = (csr.row_ptr()[v as usize] - base) as usize * 4;
+        let hi = (csr.row_ptr()[v as usize + 1] - base) as usize * 4;
+        for b in (lo..hi).step_by(4) {
+            *ci.entry((b / page) as u64).or_insert(0) += 4;
+        }
+    }
+    (rp, ci)
+}
+
+/// `v`'s stored adjacency with `ups` applied in order (an add appends
+/// with weight 0, a remove drops the first match and its weight).
+fn patched_adjacency(csr: &Csr, v: VertexId, ups: &[StructuralUpdate]) -> (Vec<u32>, Vec<f32>) {
+    let mut edges = csr.out_edges(v).to_vec();
+    let mut weights = csr.out_weights(v).map_or_else(|| vec![0.0; edges.len()], <[f32]>::to_vec);
+    for u in ups {
+        match *u {
+            StructuralUpdate::AddEdge { src, dst } if src == v => {
+                edges.push(dst);
+                weights.push(0.0);
+            }
+            StructuralUpdate::RemoveEdge { src, dst } if src == v => {
+                if let Some(p) = edges.iter().position(|&e| e == dst) {
+                    edges.remove(p);
+                    weights.remove(p);
+                }
+            }
+            _ => {}
+        }
+    }
+    (edges, weights)
+}
+
 /// The selective loader returns exactly the CSR adjacency for any
-/// active subset of any interval.
+/// active subset of any interval — with weights on weighted graphs, with
+/// pending structural updates patched in order — and its per-call device
+/// reads and page-usage record match the pages the CSR offsets select.
 #[test]
 fn loader_matches_csr() {
     let mut rng = SeededRng::seed_from_u64(102);
-    for _ in 0..CASES {
+    for case in 0..CASES {
         let (n, edges) = arb_graph(&mut rng);
         let k = rng.gen_range(1usize..6);
         let pick = rng.next_u64();
-        let csr = build(n, &edges);
-        let (_ssd, sg) = store(&csr, k);
+        let weighted = case % 2 == 1;
+        let csr = if weighted { build_weighted(n, &edges) } else { build(n, &edges) };
+        let (ssd, sg) = store(&csr, k);
+        let page = ssd.page_size();
+
+        // Every third case carries un-merged updates: adds, removes of a
+        // stored edge, and removes of an absent one.
+        let mut buf = StructuralUpdateBuffer::new(sg.intervals().clone(), usize::MAX);
+        let mut ups = Vec::new();
+        if case % 3 == 2 {
+            for _ in 0..rng.gen_range(1usize..40) {
+                let src = rng.gen_range(0u32..n as u32);
+                let dst = rng.gen_range(0u32..n as u32);
+                let u = match (rng.gen_bool(0.5), csr.out_edges(src).first()) {
+                    (true, _) => StructuralUpdate::AddEdge { src, dst },
+                    (false, Some(&e)) if rng.gen_bool(0.7) => {
+                        StructuralUpdate::RemoveEdge { src, dst: e }
+                    }
+                    (false, _) => StructuralUpdate::RemoveEdge { src, dst },
+                };
+                buf.push(u);
+                ups.push(u);
+            }
+        }
+
         let mut loader = GraphLoader::new();
+        let mut usage_want: Vec<PageUsage> = Vec::new();
         for i in sg.intervals().iter_ids() {
             // Pseudo-random subset of the interval.
             let active: Vec<VertexId> = sg
@@ -79,12 +167,34 @@ fn loader_matches_csr() {
                 .range(i)
                 .filter(|v| (pick >> (v % 61)) & 1 == 1)
                 .collect();
-            let got = loader.load_active(&sg, i, &active, false, None).unwrap();
+            ssd.stats().reset();
+            let got = loader.load_active(&sg, i, &active, weighted, Some(&buf)).unwrap();
             assert_eq!(got.len(), active.len());
-            for lv in got {
-                assert_eq!(lv.edges.as_slice(), csr.out_edges(lv.v), "vertex {}", lv.v);
+            for (kk, &v) in active.iter().enumerate() {
+                let (want_edges, want_weights) = patched_adjacency(&csr, v, &ups);
+                assert_eq!(got.edges(kk), want_edges.as_slice(), "case {case} vertex {v}");
+                assert_eq!(got.weights(kk).map(<[f32]>::to_vec), weighted.then_some(want_weights));
             }
+
+            let (rp, ci) = expected_loader_pages(&csr, &sg, i, &active, page);
+            let capped = |m: &BTreeMap<u64, usize>| m.values().map(|&u| u.min(page) as u64).sum::<u64>();
+            let extents = if weighted { 2 } else { 1 };
+            let io = ssd.stats().snapshot();
+            assert_eq!(io.pages_read, (rp.len() + extents * ci.len()) as u64, "case {case}");
+            assert_eq!(
+                io.useful_bytes_read,
+                capped(&rp) + extents as u64 * capped(&ci),
+                "case {case}"
+            );
+            usage_want.extend(ci.iter().map(|(&p, &u)| PageUsage {
+                file: sg.colidx_file(i),
+                page: p,
+                useful_bytes: u.min(page) as u32,
+                page_bytes: page as u32,
+            }));
         }
+        usage_want.sort_unstable_by_key(|u| (u.file, u.page));
+        assert_eq!(loader.take_page_usage(page), usage_want, "case {case}");
     }
 }
 
